@@ -135,25 +135,11 @@ BenchEnv BenchEnv::FromArgs(int argc, char** argv) {
           arg + sizeof(kBufferPoolBudget) - 1, "--bufferpool-budget");
       continue;
     }
-    constexpr const char kBfsFrontier[] = "--bfs-frontier=";
-    if (std::strncmp(arg, kBfsFrontier, sizeof(kBfsFrontier) - 1) == 0) {
-      const char* value = arg + sizeof(kBfsFrontier) - 1;
-      if (std::strcmp(value, "flat") == 0) {
-        env.bfs_frontier = BfsFrontier::kFlat;
-      } else if (std::strcmp(value, "legacy") == 0) {
-        env.bfs_frontier = BfsFrontier::kLegacy;
-      } else {
-        KSP_CHECK(false) << "--bfs-frontier must be flat or legacy, got: "
-                         << value;
-      }
-      continue;
-    }
     KSP_CHECK(false) << "unknown flag: " << arg
                      << " (supported: --metrics-out=FILE --json-out=FILE "
                         "--intra-threads=N --warmup=N --repeat=N "
                         "--cache-budget=BYTES|unlimited "
-                        "--backend=memory|disk --bufferpool-budget=BYTES "
-                        "--bfs-frontier=flat|legacy)";
+                        "--backend=memory|disk --bufferpool-budget=BYTES)";
   }
   if (!env.metrics_out.empty()) {
     static MetricsRegistry registry;
@@ -197,16 +183,13 @@ int Finish() {
                   " \"time_limit_ms\": %g, \"intra_threads\": %u,"
                   " \"warmup\": %zu, \"repeat\": %zu,"
                   " \"cache_budget\": %llu, \"backend\": \"%s\","
-                  " \"bufferpool_budget\": %llu,"
-                  " \"bfs_frontier\": \"%s\"},\n  \"rows\": [\n",
+                  " \"bufferpool_budget\": %llu},\n  \"rows\": [\n",
                   JsonEscape(g_bench_id.c_str()).c_str(), g_env.scale,
                   g_env.queries, g_env.time_limit_ms, g_env.intra_threads,
                   g_env.warmup, g_env.repeat,
                   static_cast<unsigned long long>(g_env.cache_budget),
                   BackendName(g_env.backend),
-                  static_cast<unsigned long long>(g_env.bufferpool_budget),
-                  g_env.bfs_frontier == BfsFrontier::kLegacy ? "legacy"
-                                                             : "flat");
+                  static_cast<unsigned long long>(g_env.bufferpool_budget));
     std::string doc = buf;
     for (size_t i = 0; i < g_json_rows.size(); ++i) {
       doc += g_json_rows[i];
@@ -252,7 +235,6 @@ std::unique_ptr<KspDatabase> MakeDatabase(const KnowledgeBase* kb,
   if (env.bufferpool_budget != 0) {
     options.buffer_pool_budget_bytes = env.bufferpool_budget;
   }
-  options.bfs_frontier = env.bfs_frontier;
   auto db = std::make_unique<KspDatabase>(kb, options);
   db->PrepareAll(alpha);
   KSP_CHECK(db->storage_backend_status().ok())
@@ -269,16 +251,19 @@ void SetShardRowAnnotation(uint32_t shard_count) {
   g_row_shard_count = shard_count;
 }
 
-double WorkloadStats::PercentileWallUs(double q) const {
-  if (wall_us.empty()) return 0.0;
-  std::vector<double> sorted = wall_us;
-  std::sort(sorted.begin(), sorted.end());
+double NearestRankPercentile(std::vector<double> samples, double q) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
   // Nearest-rank: the smallest sample with cumulative frequency >= q.
   size_t rank = static_cast<size_t>(
-      std::ceil(q * static_cast<double>(sorted.size())));
+      std::ceil(q * static_cast<double>(samples.size())));
   if (rank == 0) rank = 1;
-  if (rank > sorted.size()) rank = sorted.size();
-  return sorted[rank - 1];
+  if (rank > samples.size()) rank = samples.size();
+  return samples[rank - 1];
+}
+
+double WorkloadStats::PercentileWallUs(double q) const {
+  return NearestRankPercentile(wall_us, q);
 }
 
 WorkloadStats RunWorkload(const KspDatabase& db, Algo algo,
@@ -318,10 +303,14 @@ WorkloadStats RunWorkload(const KspDatabase& db, Algo algo,
     return out;
   };
 
-  for (size_t w = 0; w < g_env.warmup; ++w) run_pass();
+  return MedianOfPasses(run_pass);
+}
+
+WorkloadStats MedianOfPasses(const std::function<WorkloadStats()>& pass) {
+  for (size_t w = 0; w < g_env.warmup; ++w) pass();
   std::vector<WorkloadStats> passes;
   passes.reserve(g_env.repeat);
-  for (size_t r = 0; r < g_env.repeat; ++r) passes.push_back(run_pass());
+  for (size_t r = 0; r < g_env.repeat; ++r) passes.push_back(pass());
   // Median-of-repeats by total wall time: robust against one-off stalls
   // without averaging away the distribution shape within the pass.
   std::sort(passes.begin(), passes.end(),

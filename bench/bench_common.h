@@ -1,6 +1,7 @@
 #ifndef KSP_BENCH_BENCH_COMMON_H_
 #define KSP_BENCH_BENCH_COMMON_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,11 +44,6 @@ namespace bench {
 ///   --bufferpool-budget=BYTES
 ///                       buffer-pool byte budget for --backend=disk
 ///                       (default: the KspOptions default)
-///   --bfs-frontier=flat|legacy
-///                       TQSP BFS frontier driver (DESIGN.md §13) for
-///                       every MakeDatabase. Temporary A/B knob for the
-///                       raw-speed pass; goes away with
-///                       BfsFrontier::kLegacy once flat has soaked.
 struct BenchEnv {
   double scale = 1.0;
   size_t queries = 25;
@@ -59,7 +55,6 @@ struct BenchEnv {
   size_t cache_budget = 0;  // KspOptions::cache_budget_bytes for benches
   StorageBackend backend = StorageBackend::kMemory;
   uint64_t bufferpool_budget = 0;  // 0: keep the KspOptions default
-  BfsFrontier bfs_frontier = BfsFrontier::kFlat;
   std::string json_out;  // empty: JSON row capture off
 
   static BenchEnv FromEnv();
@@ -91,6 +86,10 @@ std::unique_ptr<KspDatabase> MakeDatabase(const KnowledgeBase* kb,
 /// Benches dispatch through the shared algorithm enum (KW included).
 using Algo = KspAlgorithm;
 inline const char* AlgoName(Algo algo) { return KspAlgorithmName(algo); }
+
+/// Nearest-rank q-percentile of `samples` (the smallest sample whose
+/// cumulative frequency is >= q); 0 when empty.
+double NearestRankPercentile(std::vector<double> samples, double q);
 
 /// Aggregated workload metrics (averages over queries, like §6 reports).
 /// With --repeat=N this is the median timed pass; wall_us holds that
@@ -132,6 +131,11 @@ struct WorkloadStats {
 /// --repeat returns the median timed pass.
 WorkloadStats RunWorkload(const KspDatabase& db, Algo algo,
                           const std::vector<KspQuery>& queries, uint32_t k);
+
+/// The pass convention RunWorkload applies, for benches that drive their
+/// own executor: runs `pass` --warmup times untimed, then --repeat times,
+/// and returns the median timed pass by total wall time.
+WorkloadStats MedianOfPasses(const std::function<WorkloadStats()>& pass);
 
 /// Collects the per-query results as well (Figure 8 needs result
 /// statistics, not runtimes).

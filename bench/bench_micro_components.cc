@@ -2,17 +2,14 @@
 // engine phases (tqsp_compute + bfs_expand, which the trace layer shows
 // dominating every Figure-5/9 workload) on the Figure-5 keyword sweep,
 // plus per-operation substrate costs (posting fetch, bounded BFS). This
-// is the measurement harness for the raw-speed pass (DESIGN.md §13):
-// run twice with --bfs-frontier=legacy and --bfs-frontier=flat and diff
-// the phase_exclusive_us totals in the JSON rows (methodology:
-// docs/BENCHMARKS.md).
+// was the measurement harness for the raw-speed pass (DESIGN.md §13);
+// the phase_exclusive_us totals in its JSON rows show where a hot-path
+// change moved time (methodology: docs/BENCHMARKS.md).
 //
 // Unlike its previous google-benchmark incarnation this bench goes
 // through ksp::bench::RunWorkload, so --warmup/--repeat give it the
 // same untimed-warmup + median-of-passes treatment as every figure
-// bench, and --json-out emits the stable schema_version-1 document
-// (rows gain nothing new; the env object already carries the
-// bfs_frontier annotation — purely additive).
+// bench, and --json-out emits the stable schema_version-1 document.
 
 #include <chrono>
 #include <cstdio>

@@ -51,12 +51,8 @@ struct LoopStats {
   double Qps() const {
     return wall_seconds > 0 ? static_cast<double>(oks) / wall_seconds : 0;
   }
-  double PercentileMs(double q) {
-    if (latency_ms.empty()) return 0;
-    std::sort(latency_ms.begin(), latency_ms.end());
-    size_t rank = static_cast<size_t>(q * static_cast<double>(
-                                              latency_ms.size() - 1));
-    return latency_ms[rank];
+  double PercentileMs(double q) const {
+    return ksp::bench::NearestRankPercentile(latency_ms, q);
   }
 };
 

@@ -19,25 +19,28 @@ namespace {
 using namespace ksp::bench;
 
 /// RunWorkload for the sharded executor: same timing/stat conventions
-/// (per-query wall µs, summed QueryStats), no warmup/repeat machinery —
-/// this bench compares shard counts against each other in one pass.
+/// (per-query wall µs, summed QueryStats, time-capped queries counted in
+/// timed_out) and the same --warmup/--repeat median-of-passes.
 WorkloadStats RunShardedWorkload(const ksp::ShardedKspDatabase& db,
                                  Algo algo,
                                  const std::vector<ksp::KspQuery>& queries,
                                  uint32_t k) {
   ksp::ShardedExecutor executor(&db);
-  WorkloadStats stats;
-  for (const ksp::KspQuery& base : queries) {
-    ksp::KspQuery query = base;
-    if (k != 0) query.k = k;
-    ksp::QueryStats qs;
-    auto result = executor.Execute(algo, query, &qs);
-    KSP_CHECK(result.ok()) << result.status().ToString();
-    stats.sum.Accumulate(qs);
-    stats.wall_us.push_back(qs.total_ms * 1000.0);
-    ++stats.num_queries;
-  }
-  return stats;
+  return MedianOfPasses([&] {
+    WorkloadStats stats;
+    for (const ksp::KspQuery& base : queries) {
+      ksp::KspQuery query = base;
+      if (k != 0) query.k = k;
+      ksp::QueryStats qs;
+      auto result = executor.Execute(algo, query, &qs);
+      KSP_CHECK(result.ok()) << result.status().ToString();
+      stats.sum.Accumulate(qs);
+      stats.wall_us.push_back(qs.total_ms * 1000.0);
+      if (!qs.completed) ++stats.timed_out;
+      ++stats.num_queries;
+    }
+    return stats;
+  });
 }
 
 }  // namespace

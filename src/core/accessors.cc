@@ -9,8 +9,63 @@
 namespace ksp {
 
 namespace {
-constexpr uint32_t kGraphMagic = 0x4B535047u;  // "KSPG" (DiskGraph format)
+constexpr uint32_t kGraphMagic = 0x4B535047u;  // "KSPG"
+constexpr uint64_t kGraphHeaderBytes = 24;
+
+/// Writes one adjacency file; `neighbors_of(v)` selects the direction and
+/// must be ascending (non-strict) for the delta encoding.
+template <typename NeighborsOf>
+Status WriteAdjacencyFile(const Graph& graph, const std::string& path,
+                          uint32_t page_size, FileSystem* fs,
+                          NeighborsOf neighbors_of) {
+  const VertexId n = graph.num_vertices();
+  const uint64_t data_begin = kGraphHeaderBytes + (n + 1) * 8ULL;
+  std::string table;
+  table.reserve((n + 1) * 8ULL);
+  std::string data;
+  for (VertexId v = 0; v < n; ++v) {
+    PutFixed64(&table, data_begin + data.size());
+    std::span<const VertexId> neighbors = neighbors_of(v);
+    PutVarint64(&data, neighbors.size());
+    VertexId prev = 0;
+    for (size_t i = 0; i < neighbors.size(); ++i) {
+      PutVarint64(&data, i == 0 ? neighbors[i] : neighbors[i] - prev);
+      prev = neighbors[i];
+    }
+  }
+  PutFixed64(&table, data_begin + data.size());
+
+  std::string header;
+  PutFixed32(&header, kGraphMagic);
+  PutFixed32(&header, page_size);
+  PutFixed64(&header, n);
+  PutFixed64(&header, graph.num_edges());
+  std::string footer;
+  PutFixed32(&footer, kGraphMagic);
+
+  KSP_ASSIGN_OR_RETURN(auto file, fs->NewWritableFile(path));
+  for (std::string_view part : {std::string_view(header),
+                                std::string_view(table),
+                                std::string_view(data),
+                                std::string_view(footer)}) {
+    KSP_RETURN_NOT_OK(file->Append(part));
+  }
+  return file->Close();
+}
 }  // namespace
+
+Status DiskGraphAccessor::Write(const Graph& graph,
+                                const std::string& out_path,
+                                const std::string& in_path,
+                                uint32_t page_size, FileSystem* fs) {
+  if (fs == nullptr) fs = DefaultFileSystem();
+  KSP_RETURN_NOT_OK(WriteAdjacencyFile(
+      graph, out_path, page_size, fs,
+      [&graph](VertexId v) { return graph.OutNeighbors(v); }));
+  return WriteAdjacencyFile(
+      graph, in_path, page_size, fs,
+      [&graph](VertexId v) { return graph.InNeighbors(v); });
+}
 
 Result<std::unique_ptr<DiskGraphAccessor>> DiskGraphAccessor::Open(
     const std::string& out_path, const std::string& in_path,
@@ -53,8 +108,10 @@ Status DiskGraphAccessor::OpenDirection(const std::string& path,
 
   // Header: [magic u32][page_size u32][num_vertices u64][num_edges u64].
   std::string header;
-  KSP_RETURN_NOT_OK(dir->file->Read(0, 24, &header));
-  if (header.size() != 24) return CorruptionAt(path, 0, "short header");
+  KSP_RETURN_NOT_OK(dir->file->Read(0, kGraphHeaderBytes, &header));
+  if (header.size() != kGraphHeaderBytes) {
+    return CorruptionAt(path, 0, "short header");
+  }
   size_t pos = 0;
   uint32_t magic = 0;
   uint32_t page_size = 0;
@@ -70,30 +127,36 @@ Status DiskGraphAccessor::OpenDirection(const std::string& path,
     return Status::InvalidArgument(
         "graph page size does not match the buffer pool");
   }
-  const uint64_t table_bytes = (n + 1) * 8ULL;
-  if (24 + table_bytes + 4 > file_size) {
+  // The offset table and footer must fit in the file; checked before the
+  // table size is computed, so a huge count can neither overflow it nor
+  // drive the allocation below.
+  if (file_size < kGraphHeaderBytes + 12 ||
+      n > (file_size - kGraphHeaderBytes - 12) / 8) {
     return CorruptionAt(path, 0, "vertex count exceeds file size");
   }
+  const uint64_t table_bytes = (n + 1) * 8ULL;
 
   // Offset table (memory-resident, like the paper's vertex lookup table).
   std::string table;
-  KSP_RETURN_NOT_OK(dir->file->Read(24, table_bytes, &table));
+  KSP_RETURN_NOT_OK(dir->file->Read(kGraphHeaderBytes, table_bytes, &table));
   if (table.size() != table_bytes) {
-    return IOErrorAt(path, 24, "cannot read offset table");
+    return IOErrorAt(path, kGraphHeaderBytes, "cannot read offset table");
   }
   dir->offsets.resize(n + 1);
   size_t tpos = 0;
-  const uint64_t data_begin = 24 + table_bytes;
+  const uint64_t data_begin = kGraphHeaderBytes + table_bytes;
   uint64_t prev = data_begin;
   for (uint64_t v = 0; v <= n; ++v) {
     KSP_RETURN_NOT_OK(GetFixed64(table, &tpos, &dir->offsets[v]));
     if (dir->offsets[v] < prev || dir->offsets[v] > file_size - 4) {
-      return CorruptionAt(path, 24 + v * 8, "offset table inconsistent");
+      return CorruptionAt(path, kGraphHeaderBytes + v * 8,
+                          "offset table inconsistent");
     }
     prev = dir->offsets[v];
   }
   if (dir->offsets.front() != data_begin) {
-    return CorruptionAt(path, 24, "offset table inconsistent");
+    return CorruptionAt(path, kGraphHeaderBytes,
+                        "offset table inconsistent");
   }
 
   // Footer magic.

@@ -94,12 +94,30 @@ class MemoryGraphAccessor final : public GraphAccessor {
   const Graph* graph_;
 };
 
-/// Adjacency expansion over two DiskGraph-format files (out-adjacency
-/// and its transpose) through a shared buffer pool. Only the two offset
-/// tables are memory-resident, mirroring the paper's disk-based graph
-/// representation.
+/// Adjacency expansion over two adjacency files (out-adjacency and its
+/// transpose) through a shared buffer pool: the "disk-based graph
+/// representation for larger-scale data" of §3 footnote 1. Only the two
+/// offset tables are memory-resident, mirroring the paper's vertex
+/// lookup table.
+///
+/// File layout ("KSPG"), one file per direction; record v holds v's
+/// neighbours in that direction as a varint count followed by
+/// varint-delta-encoded ids (first absolute), in CSR order:
+///   [magic u32][page_size u32][num_vertices u64][num_edges u64]
+///   [offset table: num_vertices+1 x fixed64 absolute record offsets]
+///   [adjacency records]
+///   [magic u32]
 class DiskGraphAccessor final : public GraphAccessor {
  public:
+  /// Writes the out-adjacency of `graph` to `out_path` and its transpose
+  /// (record v holds InNeighbors(v)) to `in_path`, so backward expansion
+  /// (TA) and undirected BFS see the exact neighbour order of the
+  /// in-memory CSR. `page_size` must match the pool that later opens
+  /// them. These are rebuildable spill files: no fsync.
+  static Status Write(const Graph& graph, const std::string& out_path,
+                      const std::string& in_path, uint32_t page_size,
+                      FileSystem* fs = nullptr);
+
   /// Opens both adjacency files and registers them with `pool` (which
   /// must outlive the accessor).
   static Result<std::unique_ptr<DiskGraphAccessor>> Open(

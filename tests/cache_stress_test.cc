@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <iterator>
 #include <memory>
@@ -238,11 +239,23 @@ TEST(CacheStressTest, EpochGuardsInvalidationWindow) {
       }
     });
   }
-  // Invalidator: constant epoch churn.
+  // Invalidator: constant epoch churn — 2000 invalidations, then on
+  // until the race has produced a hit. Past the 2000, epochs are spaced
+  // out so a starved reader can land a hit; the deadline only ends a run
+  // that never gets there.
   std::thread invalidator([&] {
-    for (int i = 0; i < 2000; ++i) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    for (int i = 0;
+         i < 2000 || (hits.load() == 0 &&
+                      std::chrono::steady_clock::now() < deadline);
+         ++i) {
       cache.Invalidate();
-      std::this_thread::yield();
+      if (i < 2000) {
+        std::this_thread::yield();
+      } else {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
     }
     stop.store(true, std::memory_order_relaxed);
   });

@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/io_util.h"
+#include "common/varint.h"
 #include "core/database.h"
 #include "core/executor.h"
 #include "datagen/query_gen.h"
@@ -70,7 +72,9 @@ TEST_F(EnginePersistenceTest, SaveLoadRoundTripAnswersIdentically) {
 
 TEST_F(EnginePersistenceTest, MissingFilesLeaveIndexesUnbuilt) {
   KspDatabase db(kb_.get());
-  ASSERT_TRUE(db.LoadIndexes(dir_).ok());  // Empty dir: no-op.
+  auto status = db.LoadIndexes(dir_);  // Empty dir: nothing saved.
+  EXPECT_TRUE(status.IsNotFound()) << status.ToString();
+  EXPECT_FALSE(db.has_rtree());
   EXPECT_EQ(db.reachability_index(), nullptr);
   EXPECT_EQ(db.alpha_index(), nullptr);
 }
@@ -161,9 +165,11 @@ TEST_F(EnginePersistenceTest, SecondSaveAdvancesGenerationAndCollectsOld) {
   EXPECT_NE(restored.alpha_index(), nullptr);
 }
 
-TEST_F(EnginePersistenceTest, LegacyLayoutStillLoads) {
-  // Pre-manifest directories (fixed filenames, no MANIFEST) stay
-  // readable for one release.
+TEST_F(EnginePersistenceTest, ManifestlessDirectoryIsNotFound) {
+  // Index files under their pre-manifest fixed names, but no MANIFEST:
+  // nothing vouches for them belonging together, so the directory holds
+  // no loadable generation. The failed load leaves a previously prepared
+  // database fully unprepared, like every other failed load.
   KspDatabase original(kb_.get());
   original.PrepareAll(2);
   ASSERT_TRUE(original.rtree().Save(dir_ + "/rtree.bin").ok());
@@ -172,19 +178,45 @@ TEST_F(EnginePersistenceTest, LegacyLayoutStillLoads) {
   ASSERT_TRUE(original.alpha_index()->Save(dir_ + "/alpha.bin").ok());
 
   KspDatabase restored(kb_.get());
-  ASSERT_TRUE(restored.LoadIndexes(dir_).ok());
-  EXPECT_TRUE(restored.has_rtree());
-  EXPECT_NE(restored.reachability_index(), nullptr);
-  EXPECT_NE(restored.alpha_index(), nullptr);
+  restored.PrepareAll(2);
+  auto status = restored.LoadIndexes(dir_);
+  EXPECT_TRUE(status.IsNotFound()) << status.ToString();
+  EXPECT_NE(status.message().find(dir_), std::string::npos)
+      << status.ToString();
+  EXPECT_FALSE(restored.has_rtree());
+  EXPECT_EQ(restored.reachability_index(), nullptr);
+  EXPECT_EQ(restored.alpha_index(), nullptr);
 }
 
 TEST_F(EnginePersistenceTest, AlphaWithoutItsRTreeRejected) {
-  // α entries are keyed by R-tree node ids; loading the α file without
-  // the tree it was built against (legacy layout) must fail loudly with
+  // α entries are keyed by R-tree node ids; a manifest that lists the α
+  // file without the tree it was built against must fail loudly with
   // InvalidArgument, not misalign.
   KspDatabase original(kb_.get());
   original.PrepareAll(2);
-  ASSERT_TRUE(original.alpha_index()->Save(dir_ + "/alpha.bin").ok());
+  const std::string alpha_file = "alpha-000001.bin";
+  ArtifactInfo alpha_info;
+  ASSERT_TRUE(original.alpha_index()
+                  ->Save(dir_ + "/" + alpha_file, nullptr, &alpha_info)
+                  .ok());
+
+  // A MANIFEST (magic "KSPM", version 1) with one entry: generation,
+  // entry count, then name, filename, format version, size, crc32c.
+  ASSERT_TRUE(WriteArtifactAtomically(
+                  DefaultFileSystem(), dir_ + "/MANIFEST", 0x4B53504Du, 1,
+                  [&](ChecksummedWriter* w) {
+                    std::string body;
+                    PutVarint64(&body, 1);
+                    PutVarint64(&body, 1);
+                    PutLengthPrefixed(&body, "alpha");
+                    PutLengthPrefixed(&body, alpha_file);
+                    PutFixed32(&body, alpha_info.format_version);
+                    PutFixed64(&body, alpha_info.size_bytes);
+                    PutFixed32(&body, alpha_info.crc32c);
+                    return w->WriteSection(body);
+                  })
+                  .ok());
+
   KspDatabase restored(kb_.get());
   auto status = restored.LoadIndexes(dir_);
   EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();

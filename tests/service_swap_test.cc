@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -103,9 +104,14 @@ TEST(ServiceSwapTest, SwapUnderLoadDropsNothingAndStaysExact) {
         return;
       }
       int sent = 0;
-      // Keep querying at least until the swapper finishes, so load
-      // definitely overlaps every swap.
-      while (sent < kRequestsPerClient || !swapping_done.load()) {
+      // Keep querying until the swapper has finished, so load overlaps
+      // every swap: the last query goes out only after both swaps have
+      // landed. The wall-clock cap only ends a run whose swaps never do.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      bool last = false;
+      while (!last && std::chrono::steady_clock::now() < deadline) {
+        last = sent + 1 >= kRequestsPerClient && swapping_done.load();
         const size_t qi = static_cast<size_t>(c + sent) % queries.size();
         auto response =
             client->Query(KspAlgorithm::kSp, queries[qi].location,
@@ -130,13 +136,19 @@ TEST(ServiceSwapTest, SwapUnderLoadDropsNothingAndStaysExact) {
         ++oks;
         std::lock_guard<std::mutex> lock(gen_mu);
         generations_seen.insert(response->generation);
-        if (sent > kRequestsPerClient * 4) break;  // Safety valve.
       }
     });
   }
 
-  // Swap twice over the wire while the clients hammer away.
+  // Swap twice over the wire while the clients hammer away — once load
+  // is flowing, i.e. the first generation has answered a query.
   {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (oks.load() == 0 && failures.load() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     auto swapper = KspClient::Connect("127.0.0.1", server.port());
     ASSERT_TRUE(swapper.ok());
     for (int s = 0; s < 2; ++s) {
