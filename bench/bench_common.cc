@@ -22,13 +22,13 @@ double EnvDouble(const char* name, double fallback) {
 MetricsRegistry* g_metrics = nullptr;
 std::string g_metrics_out;
 /// Execution shape shared by every RunWorkload call in the process
-/// (intra_threads / warmup / repeat), set once by FromArgs.
+/// (warmup / repeat), set once by FromArgs.
 BenchEnv g_env;
 /// --json-out capture: bench id from argv[0], pre-rendered row objects.
 std::string g_json_out;
 std::string g_bench_id = "bench";
 std::vector<std::string> g_json_rows;
-/// Row-level storage annotation, refreshed by every MakeDatabase so the
+/// Row-level storage annotation, refreshed by every BenchOptions so the
 /// JSON rows name the backend/budget they actually ran against (the
 /// memory-budget sweep builds one database per budget).
 StorageBackend g_row_backend = StorageBackend::kMemory;
@@ -78,7 +78,6 @@ BenchEnv BenchEnv::FromArgs(int argc, char** argv) {
     const char* arg = argv[i];
     constexpr const char kMetricsOut[] = "--metrics-out=";
     constexpr const char kJsonOut[] = "--json-out=";
-    constexpr const char kIntraThreads[] = "--intra-threads=";
     constexpr const char kWarmup[] = "--warmup=";
     constexpr const char kRepeat[] = "--repeat=";
     constexpr const char kCacheBudget[] = "--cache-budget=";
@@ -91,12 +90,6 @@ BenchEnv BenchEnv::FromArgs(int argc, char** argv) {
     if (std::strncmp(arg, kJsonOut, sizeof(kJsonOut) - 1) == 0) {
       env.json_out = arg + sizeof(kJsonOut) - 1;
       KSP_CHECK(!env.json_out.empty()) << "--json-out requires a file path";
-      continue;
-    }
-    if (std::strncmp(arg, kIntraThreads, sizeof(kIntraThreads) - 1) == 0) {
-      env.intra_threads = static_cast<uint32_t>(
-          ParseCount(arg + sizeof(kIntraThreads) - 1, "--intra-threads"));
-      if (env.intra_threads == 0) env.intra_threads = 1;
       continue;
     }
     if (std::strncmp(arg, kWarmup, sizeof(kWarmup) - 1) == 0) {
@@ -137,7 +130,7 @@ BenchEnv BenchEnv::FromArgs(int argc, char** argv) {
     }
     KSP_CHECK(false) << "unknown flag: " << arg
                      << " (supported: --metrics-out=FILE --json-out=FILE "
-                        "--intra-threads=N --warmup=N --repeat=N "
+                        "--warmup=N --repeat=N "
                         "--cache-budget=BYTES|unlimited "
                         "--backend=memory|disk --bufferpool-budget=BYTES)";
   }
@@ -178,15 +171,15 @@ int Finish() {
   if (!g_json_out.empty()) {
     char buf[512];
     std::snprintf(buf, sizeof(buf),
-                  "{\n  \"schema_version\": 1,\n  \"bench\": \"%s\",\n"
+                  "{\n  \"schema_version\": 2,\n  \"bench\": \"%s\",\n"
                   "  \"env\": {\"scale\": %g, \"queries\": %zu,"
-                  " \"time_limit_ms\": %g, \"intra_threads\": %u,"
+                  " \"time_limit_ms\": %g,"
                   " \"warmup\": %zu, \"repeat\": %zu,"
                   " \"cache_budget\": %llu, \"backend\": \"%s\","
                   " \"bufferpool_budget\": %llu},\n  \"rows\": [\n",
                   JsonEscape(g_bench_id.c_str()).c_str(), g_env.scale,
-                  g_env.queries, g_env.time_limit_ms, g_env.intra_threads,
-                  g_env.warmup, g_env.repeat,
+                  g_env.queries, g_env.time_limit_ms, g_env.warmup,
+                  g_env.repeat,
                   static_cast<unsigned long long>(g_env.cache_budget),
                   BackendName(g_env.backend),
                   static_cast<unsigned long long>(g_env.bufferpool_budget));
@@ -223,9 +216,7 @@ std::unique_ptr<KnowledgeBase> MakeDataset(bool dbpedia_like,
   return std::move(*kb);
 }
 
-std::unique_ptr<KspDatabase> MakeDatabase(const KnowledgeBase* kb,
-                                          const BenchEnv& env, uint32_t alpha,
-                                          KspOptions options) {
+KspOptions BenchOptions(const BenchEnv& env, KspOptions options) {
   options.time_limit_ms = env.time_limit_ms;
   // Flag wins only when given, so benches hard-coding a budget keep it.
   if (env.cache_budget != 0) options.cache_budget_bytes = env.cache_budget;
@@ -235,14 +226,20 @@ std::unique_ptr<KspDatabase> MakeDatabase(const KnowledgeBase* kb,
   if (env.bufferpool_budget != 0) {
     options.buffer_pool_budget_bytes = env.bufferpool_budget;
   }
-  auto db = std::make_unique<KspDatabase>(kb, options);
-  db->PrepareAll(alpha);
-  KSP_CHECK(db->storage_backend_status().ok())
-      << db->storage_backend_status().ToString();
   g_row_backend = options.backend;
   g_row_bufferpool_budget = options.backend == StorageBackend::kDisk
                                 ? options.buffer_pool_budget_bytes
                                 : 0;
+  return options;
+}
+
+std::unique_ptr<KspDatabase> MakeDatabase(const KnowledgeBase* kb,
+                                          const BenchEnv& env, uint32_t alpha,
+                                          KspOptions options) {
+  auto db = std::make_unique<KspDatabase>(kb, BenchOptions(env, options));
+  db->PrepareAll(alpha);
+  KSP_CHECK(db->storage_backend_status().ok())
+      << db->storage_backend_status().ToString();
   g_row_shard_count = 0;  // A fresh unsharded database ends sharded rows.
   return db;
 }
@@ -269,7 +266,6 @@ double WorkloadStats::PercentileWallUs(double q) const {
 WorkloadStats RunWorkload(const KspDatabase& db, Algo algo,
                           const std::vector<KspQuery>& queries, uint32_t k) {
   QueryExecutor executor(&db);
-  executor.set_intra_query_threads(g_env.intra_threads);
   if (g_metrics != nullptr) executor.set_metrics(g_metrics);
   // Phase breakdown needs the (cheap, aggregate-only) trace on the query
   // path; keep the path trace-free unless an output asked for it.
@@ -326,7 +322,6 @@ std::vector<KspResult> RunWorkloadCollect(
   std::vector<KspResult> results;
   results.reserve(queries.size());
   QueryExecutor executor(&db);
-  executor.set_intra_query_threads(g_env.intra_threads);
   if (g_metrics != nullptr) executor.set_metrics(g_metrics);
   for (const KspQuery& query : queries) {
     KspQuery q = query;
@@ -369,14 +364,11 @@ void AppendJsonRow(const char* config, Algo algo,
   std::snprintf(buf, sizeof(buf),
                 "}, \"counters\": {\"tqsp_computations\": %llu,"
                 " \"rtree_nodes_accessed\": %llu,"
-                " \"vertices_visited\": %llu,"
-                " \"speculative_wasted_tqsp\": %llu},",
+                " \"vertices_visited\": %llu},",
                 static_cast<unsigned long long>(stats.sum.tqsp_computations),
                 static_cast<unsigned long long>(
                     stats.sum.rtree_nodes_accessed),
-                static_cast<unsigned long long>(stats.sum.vertices_visited),
-                static_cast<unsigned long long>(
-                    stats.sum.speculative_wasted_tqsp));
+                static_cast<unsigned long long>(stats.sum.vertices_visited));
   row += buf;
   const auto rate = [](uint64_t hits, uint64_t misses) {
     const uint64_t total = hits + misses;

@@ -28,8 +28,6 @@ namespace bench {
 ///                       (DESIGN.md §7) as JSON to FILE on exit
 ///   --json-out=FILE     write every PrintStatsRow row as a machine-readable
 ///                       JSON document (schema below) to FILE on exit
-///   --intra-threads=N   answer each query with N intra-query pipeline
-///                       threads (DESIGN.md §8); default 1 = sequential
 ///   --warmup=N          run each workload N untimed passes first
 ///   --repeat=N          run each workload N timed passes and report the
 ///                       median pass (by total wall time); default 1
@@ -49,7 +47,6 @@ struct BenchEnv {
   size_t queries = 25;
   double time_limit_ms = 2000.0;
   std::string metrics_out;  // empty: metrics collection off
-  uint32_t intra_threads = 1;
   size_t warmup = 0;
   size_t repeat = 1;
   size_t cache_budget = 0;  // KspOptions::cache_budget_bytes for benches
@@ -78,7 +75,15 @@ inline constexpr uint32_t kYagoBaseVertices = 40000;
 std::unique_ptr<KnowledgeBase> MakeDataset(bool dbpedia_like,
                                            uint32_t num_vertices);
 
-/// Builds a fully prepared database; time limit from `env`.
+/// `options` with the FromArgs flags applied: time limit, --cache-budget,
+/// --backend and --bufferpool-budget (each flag wins only when given).
+/// Also points the JSON rows' backend/bufferpool annotation at the
+/// result, so every bench that builds a database — sharded or not —
+/// must take its options from here.
+KspOptions BenchOptions(const BenchEnv& env, KspOptions options = {});
+
+/// Builds a fully prepared database from BenchOptions(env, options), and
+/// ends any sharded-row annotation.
 std::unique_ptr<KspDatabase> MakeDatabase(const KnowledgeBase* kb,
                                           const BenchEnv& env, uint32_t alpha,
                                           KspOptions options = {});
@@ -126,9 +131,8 @@ struct WorkloadStats {
 
 /// Runs `queries` through one algorithm on a fresh QueryExecutor, with
 /// `k` overriding each query's requested result size (pass 0 to keep the
-/// generated k). Honors the FromArgs execution flags: --intra-threads
-/// configures the executor's pipeline, --warmup adds untimed passes, and
-/// --repeat returns the median timed pass.
+/// generated k). Honors the FromArgs execution flags: --warmup adds
+/// untimed passes, and --repeat returns the median timed pass.
 WorkloadStats RunWorkload(const KspDatabase& db, Algo algo,
                           const std::vector<KspQuery>& queries, uint32_t k);
 
@@ -145,25 +149,23 @@ std::vector<KspResult> RunWorkloadCollect(const KspDatabase& db, Algo algo,
 
 /// Prints the standard per-row metrics line. With --json-out, the row is
 /// also captured for the JSON document Finish() writes:
-///   {"schema_version": 1, "bench": "<argv0 basename>",
-///    "env": {scale, queries, time_limit_ms, intra_threads, warmup,
-///            repeat, cache_budget},
+///   {"schema_version": 2, "bench": "<argv0 basename>",
+///    "env": {scale, queries, time_limit_ms, warmup, repeat, cache_budget,
+///            backend, bufferpool_budget},
 ///    "rows": [{config, algo, queries, timed_out, mean_wall_us,
 ///              median_wall_us, p95_wall_us, phase_exclusive_us: {<phase>:
 ///              µs, ...}, counters: {tqsp_computations,
-///              rtree_nodes_accessed, vertices_visited,
-///              speculative_wasted_tqsp},
+///              rtree_nodes_accessed, vertices_visited},
 ///              cache: {dg_hits, dg_misses, dg_hit_rate, result_hits,
 ///                      result_misses, result_hit_rate, evictions},
 ///              backend: "memory"|"disk",
 ///              bufferpool: {budget_bytes, hits, misses, evictions},
 ///              shard: {count, shards_visited, shards_pruned,
 ///                      prune_rate}}]}
-/// The schema is stable: fields are only added, never renamed or removed
-/// (cache_budget, the cache object, backend, the bufferpool object, and
-/// the shard object are additive; schema_version stays 1). The row-level
-/// backend/bufferpool annotation reflects the most recent MakeDatabase;
-/// the shard object appears only while SetShardRowAnnotation is active.
+/// Adding a field keeps schema_version; renaming or removing one bumps
+/// it. The row-level backend/bufferpool annotation reflects the most
+/// recent BenchOptions; the shard object appears only while
+/// SetShardRowAnnotation is active.
 void PrintStatsRow(const char* config, Algo algo,
                    const WorkloadStats& stats);
 

@@ -9,7 +9,7 @@
 // Unlike its previous google-benchmark incarnation this bench goes
 // through ksp::bench::RunWorkload, so --warmup/--repeat give it the
 // same untimed-warmup + median-of-passes treatment as every figure
-// bench, and --json-out emits the stable schema_version-1 document.
+// bench, and --json-out emits the figure benches' JSON document.
 
 #include <chrono>
 #include <cstdio>

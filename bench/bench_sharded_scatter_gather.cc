@@ -53,14 +53,7 @@ int main(int argc, char** argv) {
                         env.Scaled(kDBpediaBaseVertices));
   PrintDatasetSummary("dbpedia-like", *kb);
 
-  ksp::KspOptions options;
-  options.time_limit_ms = env.time_limit_ms;
-  if (env.backend == ksp::StorageBackend::kDisk) {
-    options.backend = ksp::StorageBackend::kDisk;
-    if (env.bufferpool_budget != 0) {
-      options.buffer_pool_budget_bytes = env.bufferpool_budget;
-    }
-  }
+  const ksp::KspOptions options = BenchOptions(env);
 
   PrintStatsHeader();
   for (uint32_t num_shards : {1u, 2u, 4u, 8u}) {

@@ -9,7 +9,7 @@
 #        micro_out.json (default BENCH_micro.json) receives the
 #        micro-component run below.
 # Env:   BUILD_DIR (default: build), KSP_SCALE, KSP_QUERIES,
-#        KSP_INTRA_THREADS, KSP_BENCH (default: bench_fig9_large_looseness)
+#        KSP_BENCH (default: bench_fig9_large_looseness)
 set -euo pipefail
 
 BUILD_DIR="${BUILD_DIR:-build}"
@@ -25,14 +25,13 @@ fi
 KSP_SCALE="${KSP_SCALE:-0.1}" KSP_QUERIES="${KSP_QUERIES:-5}" \
   "${BUILD_DIR}/bench/${BENCH}" \
   --warmup=1 --repeat=3 \
-  --intra-threads="${KSP_INTRA_THREADS:-1}" \
   --json-out="${OUT}"
 
 # The artifact must parse and carry at least one row.
 python3 - "${OUT}" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["schema_version"] == 1, doc
+assert doc["schema_version"] == 2, doc
 assert doc["rows"], "bench emitted no rows"
 print(f"bench smoke OK: {doc['bench']}, {len(doc['rows'])} rows")
 EOF
@@ -60,27 +59,34 @@ print(f"disk-backend smoke OK: {len(rows)} rows, {fetches} page fetches")
 EOF
 
 # Sharded scatter-gather smoke (DESIGN.md §12): the fig5-style workload
-# over K ∈ {1,2,4,8} STR shards. The K=4 rows must show shard-level
-# pruning actually firing — the whole point of mindist-ordered dispatch
-# under the shared θ.
+# over K ∈ {1,2,4,8} STR shards, once per backend. The K=4 rows must
+# show shard-level pruning actually firing — the whole point of
+# mindist-ordered dispatch under the shared θ — and every row must name
+# the backend it ran on.
 SHARD_OUT="$(mktemp /tmp/ksp_bench_shard_smoke.XXXXXX.json)"
 trap 'rm -f "${DISK_OUT}" "${SHARD_OUT}"' EXIT
-KSP_SCALE="${KSP_SCALE:-0.1}" KSP_QUERIES="${KSP_QUERIES:-5}" \
-  "${BUILD_DIR}/bench/bench_sharded_scatter_gather" \
-  --json-out="${SHARD_OUT}"
+for backend in memory disk; do
+  KSP_SCALE="${KSP_SCALE:-0.1}" KSP_QUERIES="${KSP_QUERIES:-5}" \
+    "${BUILD_DIR}/bench/bench_sharded_scatter_gather" \
+    --backend="${backend}" \
+    --json-out="${SHARD_OUT}"
 
-python3 - "${SHARD_OUT}" <<'EOF'
+  python3 - "${SHARD_OUT}" "${backend}" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
+backend = sys.argv[2]
 rows = doc["rows"]
 assert rows, "sharded bench emitted no rows"
 assert all("shard" in r for r in rows), rows
+assert all(r["backend"] == backend for r in rows), rows
 k4 = [r for r in rows if r["shard"]["count"] == 4]
 assert k4, "no K=4 rows"
 pruned = sum(r["shard"]["shards_pruned"] for r in k4)
 assert pruned >= 1, f"K=4 pruned no shards: {k4}"
-print(f"sharded smoke OK: {len(rows)} rows, K=4 pruned {pruned} shards")
+print(f"sharded smoke OK ({backend}): {len(rows)} rows, "
+      f"K=4 pruned {pruned} shards")
 EOF
+done
 
 # Micro-component smoke (DESIGN.md §13): the hot-phase bench must run
 # to completion and attribute time to the two phases it exists to
@@ -96,7 +102,7 @@ KSP_SCALE="${KSP_SCALE:-0.1}" KSP_QUERIES="${KSP_QUERIES:-5}" \
 python3 - "${MICRO_OUT}" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["schema_version"] == 1, doc
+assert doc["schema_version"] == 2, doc
 rows = doc["rows"]
 assert rows, "micro bench emitted no rows"
 for r in rows:

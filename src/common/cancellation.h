@@ -15,8 +15,7 @@ namespace ksp {
 /// executor running on its behalf.
 ///
 /// The executor never blocks on the token; it calls Check() at phase
-/// boundaries (per BFS batch, per candidate place, per pipeline commit)
-/// and unwinds with a partial-stats error Status when the token fires.
+/// boundaries (per BFS batch, per candidate place) and unwinds with a partial-stats error Status when the token fires.
 /// The owner may cancel from any thread; all members are thread-safe.
 ///
 /// Check() distinguishes the two trip reasons so the caller can map them

@@ -7,7 +7,6 @@
 
 #include "common/timer.h"
 #include "core/executor.h"
-#include "core/parallel_query.h"
 
 namespace ksp {
 
@@ -88,18 +87,7 @@ Result<KspResult> QueryExecutor::ExecuteSpatialFirst(const KspQuery& query,
 
   double semantic_seconds = 0.0;
   TopKHeap heap(query.k);
-  if (ctx.answerable && UsePipeline()) {
-    // An interruption status from the pipeline flows into the shared
-    // interrupted-query epilogue below (partial stats + metrics); any
-    // other error (disk-backend read failure) propagates as-is.
-    const Status pipeline_status = EnsurePipeline()->RunSpatialFirst(
-        query, ctx, use_rule1, use_rule2, total_timer, &heap, st,
-        &semantic_seconds, trace, cancel_, cache_epoch_);
-    if (!pipeline_status.ok()) {
-      if (!pipeline_status.IsInterruption()) return pipeline_status;
-      interrupt_status_ = pipeline_status;
-    }
-  } else if (ctx.answerable) {
+  if (ctx.answerable) {
     ExplainTermination("exhausted");
     NearestIterator iterator(db_->spatial_accessor(), query.location);
     NearestIterator::Item item;
@@ -253,7 +241,7 @@ Result<KspResult> QueryExecutor::ExecuteSpatialFirst(const KspQuery& query,
   if (!interrupt_status_.ok()) return FinishInterrupted(st);
   KspResult result = std::move(heap).Finish();
   // Only completed runs are cached: a timeout's partial top-k is not the
-  // answer. The pipeline path flows through here too.
+  // answer.
   if (result_layer_on && st->completed) {
     st->cache_evictions +=
         cache->InsertResult(result_key, cache_epoch_, result);

@@ -10,7 +10,6 @@
 
 #include "common/timer.h"
 #include "core/executor.h"
-#include "core/parallel_query.h"
 
 namespace ksp {
 
@@ -117,18 +116,7 @@ Result<KspResult> QueryExecutor::ExecuteSp(const KspQuery& query,
   double semantic_seconds = 0.0;
   TopKHeap heap(query.k);
 
-  if (ctx.answerable && !rtree.empty() && UsePipeline()) {
-    // Same contract as the spatial-first pipeline call (bsp_spp.cc):
-    // interruption flows into the shared epilogue, other errors return.
-    const Status pipeline_status = EnsurePipeline()->RunAlphaOrdered(
-        query, ctx, options.use_unqualified_pruning,
-        options.use_dynamic_bound_pruning, total_timer, &heap, st,
-        &semantic_seconds, trace, cancel_, cache_epoch_);
-    if (!pipeline_status.ok()) {
-      if (!pipeline_status.IsInterruption()) return pipeline_status;
-      interrupt_status_ = pipeline_status;
-    }
-  } else if (ctx.answerable && !rtree.empty()) {
+  if (ctx.answerable && !rtree.empty()) {
     ExplainTermination("exhausted");
     std::priority_queue<AlphaQueueItem, std::vector<AlphaQueueItem>,
                         AlphaQueueOrder>

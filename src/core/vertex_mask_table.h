@@ -16,8 +16,7 @@ namespace ksp {
 /// common case — most visited vertices cover no keyword) terminates on
 /// the first empty slot.
 ///
-/// Write phase (PrepareContext) then read-only: Find is const and safe
-/// to share across pipeline workers, like the rest of QueryContext.
+/// Write phase (PrepareContext) then read-only: Find is const.
 class VertexMaskTable {
  public:
   VertexMaskTable() = default;

@@ -360,7 +360,6 @@ void KspServer::WorkerLoop() {
       } else {
         executor = std::make_unique<QueryExecutor>(state->db.get());
         executor->set_metrics(&registry_);
-        executor->set_intra_query_threads(options_.intra_query_threads);
       }
       cached_state = state;
     }

@@ -45,9 +45,6 @@ struct ServerOptions {
   uint32_t max_frame_bytes = 1 << 20;
   /// Fast-reject bound on per-query keywords (TQSP masks hold 64).
   uint32_t max_keywords = 64;
-
-  /// Intra-query parallelism applied to every worker executor.
-  uint32_t intra_query_threads = 1;
 };
 
 /// Deadline-aware network front-end over the kSP engine (DESIGN.md §11).

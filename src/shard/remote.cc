@@ -88,7 +88,6 @@ void PutStats(std::string* dst, const QueryStats& stats) {
   PutVarint64(dst, stats.pruned_dynamic_bound);
   PutVarint64(dst, stats.pruned_alpha_place);
   PutVarint64(dst, stats.pruned_alpha_node);
-  PutVarint64(dst, stats.speculative_wasted_tqsp);
   PutVarint64(dst, stats.dg_cache_hits);
   PutVarint64(dst, stats.dg_cache_misses);
   PutVarint64(dst, stats.result_cache_hits);
@@ -113,8 +112,6 @@ Status GetStats(std::string_view src, size_t* offset, QueryStats* stats) {
   KSP_RETURN_NOT_OK(GetVarint64(src, offset, &stats->pruned_dynamic_bound));
   KSP_RETURN_NOT_OK(GetVarint64(src, offset, &stats->pruned_alpha_place));
   KSP_RETURN_NOT_OK(GetVarint64(src, offset, &stats->pruned_alpha_node));
-  KSP_RETURN_NOT_OK(
-      GetVarint64(src, offset, &stats->speculative_wasted_tqsp));
   KSP_RETURN_NOT_OK(GetVarint64(src, offset, &stats->dg_cache_hits));
   KSP_RETURN_NOT_OK(GetVarint64(src, offset, &stats->dg_cache_misses));
   KSP_RETURN_NOT_OK(GetVarint64(src, offset, &stats->result_cache_hits));

@@ -537,18 +537,4 @@ bool NearestIterator::NextData(Item* out) {
   return false;
 }
 
-size_t BatchedNearestIterator::NextBatch(size_t max_items,
-                                         std::vector<BatchItem>* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t appended = 0;
-  BatchItem batch_item;
-  while (appended < max_items && iterator_.Next(&batch_item.item)) {
-    batch_item.seq = next_seq_++;
-    batch_item.nodes_accessed = iterator_.nodes_accessed();
-    out->push_back(batch_item);
-    ++appended;
-  }
-  return appended;
-}
-
 }  // namespace ksp

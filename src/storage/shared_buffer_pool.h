@@ -18,8 +18,8 @@ namespace ksp {
 
 /// Byte-budgeted LRU page cache shared by every disk-resident index of a
 /// KspDatabase (graph, transposed graph, paged R-tree, inverted index).
-/// Thread-safe: one pool serves the intra-query pipeline's producer and
-/// workers concurrently. Pages are keyed by (file_id, page_id); frames
+/// Thread-safe: one pool serves every executor of the database
+/// concurrently. Pages are keyed by (file_id, page_id); frames
 /// are refcount-pinned while a PageRef is alive, and eviction walks the
 /// LRU tail skipping pinned frames. A page larger than the whole budget
 /// is still admitted (the pool transiently exceeds its budget rather

@@ -240,9 +240,12 @@ TEST_F(Figure1Test, UnknownKeywordYieldsEmptyResult) {
   KspQuery query = db_->MakeQuery(kQ1, {"zeppelin"}, 3);
   for (auto exec : {&QueryExecutor::ExecuteBsp, &QueryExecutor::ExecuteSpp,
                     &QueryExecutor::ExecuteSp, &QueryExecutor::ExecuteTa}) {
-    auto result = (exec_.get()->*exec)(query, nullptr);
+    QueryStats stats;
+    auto result = (exec_.get()->*exec)(query, &stats);
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->entries.empty());
+    // An unanswerable query must never start a TQSP construction.
+    EXPECT_EQ(stats.tqsp_computations, 0u);
   }
 }
 

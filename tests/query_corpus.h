@@ -1,5 +1,5 @@
 // The canonical seeded query corpus shared by every equivalence suite
-// (oracle, backend-invariance, shard, cache, intra-query pipeline):
+// (oracle, backend-invariance, shard, cache):
 // 210 queries over the DBpediaLike(1500) synthetic KB — three kOriginal
 // keyword-count mixes plus a high-looseness kSDLL tail — with
 // byte-identical seeds, so all suites pin the exact same executions.
